@@ -269,6 +269,12 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
                                     int64_t IntVal, std::string Name,
                                     std::vector<const Term *> Ops) {
   Term *Candidate = nullptr;
+  // The lookup key. Constructing the candidate moves Name/Ops into it, so the
+  // key is re-pointed at the candidate's own fields right after the
+  // placement-new below; every later comparison, in this probe and in any
+  // retry, reads the real key rather than the moved-from locals.
+  const std::string *KeyName = &Name;
+  const std::vector<const Term *> *KeyOps = &Ops;
   for (;;) {
     Table *T = Sh.Current.load(std::memory_order_acquire);
     if (!T ||
@@ -285,10 +291,6 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
       { std::lock_guard<std::mutex> Wait(Sh.GrowMu); } // migration in flight
       continue;
     }
-    // Once a candidate exists, Name/Ops have been moved into it; key
-    // comparisons from then on read the candidate's own fields.
-    const std::string &KeyName = Candidate ? Candidate->Name : Name;
-    const std::vector<const Term *> &KeyOps = Candidate ? Candidate->Ops : Ops;
     const size_t Mask = T->Capacity - 1;
     size_t Idx = H & Mask;
     size_t Step = 0;
@@ -303,7 +305,7 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
       const Term *E = T->Slots[Idx].load(std::memory_order_acquire);
       if (E) {
         if (E->structuralHash() == H &&
-            matches(E, K, S, IntVal, KeyName, KeyOps)) {
+            matches(E, K, S, IntVal, *KeyName, *KeyOps)) {
           // Someone published this structure first. A constructed candidate
           // stays in the arena (destroyed with the context); its claimed id
           // becomes a gap, which only happens under concurrency.
@@ -317,6 +319,8 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
         new (Candidate)
             Term(K, S, NextId.fetch_add(1, std::memory_order_relaxed), H,
                  IntVal, std::move(Name), std::move(Ops));
+        KeyName = &Candidate->Name;
+        KeyOps = &Candidate->Ops;
       }
       const Term *Expected = nullptr;
       if (T->Slots[Idx].compare_exchange_strong(Expected, Candidate,
@@ -327,11 +331,11 @@ const Term *TermContext::internMiss(Shard &Sh, uint64_t H, TermKind K, Sort S,
         Sh.Writers.fetch_sub(1, std::memory_order_seq_cst);
         return Candidate;
       }
-      // Lost the bucket; Expected now holds the winner. Fall through to
-      // re-examine this slot on the next loop turn (the winner may be our
-      // own key), by not advancing past it unexamined.
+      // Lost the bucket; Expected now holds the winner. Check it in place —
+      // a racing thread may have published our own key — and otherwise let
+      // the loop's increment advance to the next bucket.
       if (Expected->structuralHash() == H &&
-          matches(Expected, K, S, IntVal, KeyName, KeyOps)) {
+          matches(Expected, K, S, IntVal, *KeyName, *KeyOps)) {
         Sh.Writers.fetch_sub(1, std::memory_order_seq_cst);
         return Expected;
       }

@@ -10,7 +10,11 @@
 // racing publishes, and id-determinism of serial construction across runs.
 // Runs under TSan in CI (ctest label "intern" rides the sanitizer leg's
 // filter), where the bucket-CAS publish, table migration, and arena
-// rollover protocols get their real workout.
+// rollover protocols get their real workout. TSan cannot see a lost dedup,
+// though: a thread that publishes a duplicate node is a logic fault, not a
+// data race. That invariant is guarded by running this suite repeatedly
+// (CI repeats the "intern" label) and by LostCasToEqualKeyReturnsWinner,
+// which drives exactly the lost-CAS-to-an-equal-key path.
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <barrier>
 #include <memory>
 #include <set>
 #include <thread>
@@ -259,4 +264,51 @@ TEST(InternStressTest, GrowthUnderMissPressure) {
       int64_t K = static_cast<int64_t>(T) * PerThread + I;
       EXPECT_EQ(C.le(X, C.intConst(K)), Out[T][I]);
     }
+}
+
+// Every thread of a pool interns the same sequence of fresh operand-bearing
+// terms, so threads keep racing one another for the same buckets. A thread
+// that loses the bucket CAS to an equal term must return the winner's node,
+// not probe on and publish a duplicate. Rounds are long on purpose: where the
+// host has fewer free cores than threads, the races come from a thread being
+// preempted inside the publish window, which short rounds rarely see.
+TEST(InternStressTest, LostCasToEqualKeyReturnsWinner) {
+  constexpr unsigned Threads = 8;
+  constexpr unsigned Rounds = 10;
+  constexpr unsigned TermsPerRound = 8000;
+  constexpr unsigned Total = Rounds * TermsPerRound;
+
+  TermContext C;
+  const Term *X = C.var("x", Sort::Int);
+  const Term *Y = C.var("y", Sort::Int);
+  // One pre-interned coefficient per term makes every term new to the
+  // context while its leaves are all hits.
+  std::vector<const Term *> Coeffs;
+  Coeffs.reserve(Total);
+  for (unsigned I = 0; I < Total; ++I)
+    Coeffs.push_back(C.intConst(2 + static_cast<int64_t>(I)));
+
+  std::vector<std::vector<const Term *>> Got(
+      Threads, std::vector<const Term *>(Total));
+  std::barrier Start(Threads);
+  std::vector<std::thread> Pool;
+  for (unsigned T = 0; T < Threads; ++T)
+    Pool.emplace_back([&, T] {
+      for (unsigned R = 0; R < Rounds; ++R) {
+        Start.arrive_and_wait(); // realign the pool on a fresh term range
+        for (unsigned I = R * TermsPerRound; I < (R + 1) * TermsPerRound; ++I)
+          Got[T][I] = C.add(C.mul(Coeffs[I], X), Y);
+      }
+    });
+  for (auto &Th : Pool)
+    Th.join();
+
+  size_t Duplicates = 0;
+  std::string First;
+  for (unsigned I = 0; I < Total; ++I)
+    for (unsigned T = 1; T < Threads; ++T)
+      if (Got[T][I] != Got[0][I] && Duplicates++ == 0)
+        First = "thread " + std::to_string(T) + " got a duplicate of " +
+                Got[0][I]->str();
+  EXPECT_EQ(Duplicates, 0u) << "first: " << First;
 }
